@@ -6,7 +6,7 @@
 //! - `table1` — page prefetching (Linux readahead vs Leap vs RMT-ML);
 //! - `table2` — CFS migration mimicry (full/lean MLP vs native CFS);
 //! - `fig1_pipeline` — the Figure 1 program lifecycle
-//!   (DSL → verify → install → JIT vs interpret);
+//!   (DSL → verify → install + optimize → fire);
 //! - `ablation_*` — design-choice sweeps called out in DESIGN.md.
 //!
 //! Microbenchmarks live under `benches/`; they run on the in-repo

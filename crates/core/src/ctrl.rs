@@ -29,7 +29,8 @@ pub enum CtrlRequest {
     Install {
         /// The unverified program.
         prog: Box<crate::prog::RmtProgram>,
-        /// Interpret or JIT.
+        /// Accepted for compatibility; both variants run the same
+        /// optimized body (see [`ExecMode`]).
         mode: ExecMode,
         /// RNG seed for reproducibility.
         seed: u64,
@@ -124,8 +125,8 @@ pub enum CtrlRequest {
     /// Reset the observability layer (counters, histograms, trace
     /// ring). Program and table statistics are untouched.
     ObsReset,
-    /// Change a program's JIT optimization level (recompiles its
-    /// actions through the optimize → re-verify → compile path;
+    /// Change a program's optimization level (recompiles its
+    /// actions through the optimize → re-verify path;
     /// [`crate::opt::OptLevel::O0`] restores the unoptimized oracle
     /// bodies).
     SetOptLevel {

@@ -2,20 +2,22 @@
 //!
 //! §3.1: "The program runs in the virtual machine in interpreted mode or
 //! it is just-in-time (JIT) compiled to machine code for efficiency."
-//! This module is the interpreted mode: a straightforward fetch/decode
-//! dispatch loop with full runtime validation on every step. The JIT
-//! ([`crate::jit`]) executes the same semantics from a pre-resolved
-//! form; `interp ≡ jit` is property-tested.
+//! This module is the machine's one execution engine: a
+//! straightforward fetch/decode dispatch loop with full runtime
+//! validation on every step, so even unverified bytecode faults
+//! instead of panicking. Installed actions reach it as optimized,
+//! re-verified bodies ([`crate::jit`]); run over the verified bytecode
+//! unoptimized ([`crate::opt::OptLevel::O0`]) it is the reference
+//! oracle the optimized bodies are differentially tested against.
 //!
 //! The interpreter is fueled with the worst-case instruction count the
 //! verifier computed, so even a VM bug cannot produce unbounded kernel
 //! execution (defense in depth — verified programs never exhaust fuel).
 //!
-//! Match resolution happens *before* mode dispatch, in
-//! [`crate::machine::RmtMachine::fire`]: both the interpreter and the
-//! JIT receive the entry chosen by the shared indexed lookup engine
-//! ([`crate::table`]) — possibly replayed from the decision cache — so
-//! the two modes can never diverge on which action runs.
+//! Match resolution happens *before* execution, in
+//! [`crate::machine::RmtMachine::fire`]: the entry is chosen by the
+//! shared indexed lookup engine ([`crate::table`]) — possibly replayed
+//! from the decision cache — and only then is its action run.
 
 use crate::bytecode::{Action, Helper, Insn, MAX_VECTOR_LEN, NUM_REGS, NUM_VREGS};
 use crate::ctxt::Ctxt;
@@ -104,7 +106,7 @@ pub struct ExecEnv<'a> {
     pub time_ml: bool,
 }
 
-/// Executes an action in interpreted mode.
+/// Executes an action.
 ///
 /// `arg` is the matched entry's argument (delivered in `r9`); `fuel` is
 /// the verifier-computed worst-case instruction count.

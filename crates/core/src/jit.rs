@@ -1,136 +1,48 @@
-//! Just-in-time compilation of verified actions.
+//! Install-time compilation of verified actions.
 //!
 //! §3.1: "The RMT bytecode can further be JIT compiled directly to
 //! machine code for efficiency." Emitting native code requires
 //! `mmap(PROT_EXEC)`, which this reproduction deliberately avoids (see
-//! DESIGN.md substitution #4); instead we compile to **pre-decoded
-//! threaded code**: every operand is resolved to a direct index, every
-//! immediate pre-converted, every branch target patched, and the
-//! dispatch loop drops the per-instruction validation the interpreter
-//! performs. Because only [`crate::verifier::VerifiedProgram`]s are
-//! compiled, the dropped checks are exactly the ones the verifier has
-//! discharged statically — the same argument a real eBPF JIT makes.
+//! DESIGN.md substitution #4). Here "compiling" an action means running
+//! the optimizing-pass pipeline ([`crate::opt`]) at the program's
+//! [`OptLevel`] and re-verifying the rewritten body; the result is
+//! still bytecode and executes through the machine's one dispatch loop,
+//! [`crate::interp::run_action`].
 //!
-//! Semantics are identical to [`crate::interp`]; equivalence is
-//! property-tested in the workspace integration tests.
-//!
-//! Table matching is not part of the compiled form: the machine's
-//! shared indexed lookup engine ([`crate::table`]) and decision cache
-//! resolve the entry first, then dispatch to the pre-decoded action —
-//! JIT and interpreter therefore always agree on match semantics.
+//! An earlier pre-decoded threaded-code engine re-implemented every
+//! opcode of the interpreter and measured within 2–4% of it, so it was
+//! deleted: the optimizer is where the speed comes from, and a single
+//! engine leaves nothing for a second one to disagree with. The O0
+//! interpreter over the verified bytecode stays the reference oracle
+//! for the optimized bodies.
 
-use crate::bytecode::{
-    Action, AluOp, CmpOp, Helper, Insn, VecUnary, MAX_VECTOR_LEN, NUM_REGS, NUM_VREGS,
-};
-use crate::dp::noised_query;
+use crate::bytecode::Action;
 use crate::error::VmError;
-use crate::interp::{ActionOutcome, Effect, ExecEnv};
-use crate::opt::{OptLevel, Pass};
-use crate::table::TableId;
+use crate::interp::{run_action, ActionOutcome, ExecEnv};
+use crate::opt::{OptLevel, Optimized, Pass};
+use crate::prog::RmtProgram;
+use crate::verifier::reverify_action;
 
-use rkd_ml::fixed::Fix;
-use rkd_ml::tensor::Tensor;
-
-/// A pre-decoded operation with resolved operands.
-#[derive(Clone, Debug)]
-enum Op {
-    LdImm(usize, i64),
-    Mov(usize, usize),
-    LdCtxt(usize, u16),
-    StCtxt(u16, usize),
-    Alu(AluOp, usize, usize),
-    AluImm(AluOp, usize, i64),
-    Jmp(usize),
-    JmpIf(CmpOp, usize, usize, usize),
-    JmpIfImm(CmpOp, usize, i64, usize),
-    MapLookup(usize, usize, usize, i64),
-    MapUpdate(usize, usize, usize),
-    MapDelete(usize, usize),
-    VectorLdMap(usize, usize),
-    VectorLdCtxt(usize, u16, u16),
-    VectorPush(usize, usize),
-    VectorClear(usize),
-    MatMul(usize, usize, usize),
-    VecMap(VecUnary, usize),
-    ScalarVal(usize, usize, usize),
-    CallMl(usize, usize),
-    Call(Helper),
-    DpAggregate(usize, usize),
-    Exit,
-    TailCall(u16),
-}
-
-/// A JIT-compiled action body.
+/// An installed action body: the verified bytecode, optimized and
+/// re-verified when the program's level asks for it.
 #[derive(Clone, Debug)]
 pub struct CompiledAction {
-    ops: Vec<Op>,
+    action: Action,
 }
 
 impl CompiledAction {
-    /// Compiles a (verified) action to threaded code.
-    ///
-    /// Returns [`VmError::Fault`] on operands the verifier would have
-    /// rejected — compiling unverified actions is a caller bug.
-    pub fn compile(action: &Action) -> Result<CompiledAction, VmError> {
-        let mut ops = Vec::with_capacity(action.code.len());
-        for insn in &action.code {
-            ops.push(match insn {
-                Insn::LdImm { dst, imm } => Op::LdImm(ridx(dst.0)?, *imm),
-                Insn::Mov { dst, src } => Op::Mov(ridx(dst.0)?, ridx(src.0)?),
-                Insn::LdCtxt { dst, field } => Op::LdCtxt(ridx(dst.0)?, field.0),
-                Insn::StCtxt { field, src } => Op::StCtxt(field.0, ridx(src.0)?),
-                Insn::Alu { op, dst, src } => Op::Alu(*op, ridx(dst.0)?, ridx(src.0)?),
-                Insn::AluImm { op, dst, imm } => Op::AluImm(*op, ridx(dst.0)?, *imm),
-                Insn::Jmp { target } => Op::Jmp(*target),
-                Insn::JmpIf {
-                    cmp,
-                    lhs,
-                    rhs,
-                    target,
-                } => Op::JmpIf(*cmp, ridx(lhs.0)?, ridx(rhs.0)?, *target),
-                Insn::JmpIfImm {
-                    cmp,
-                    lhs,
-                    imm,
-                    target,
-                } => Op::JmpIfImm(*cmp, ridx(lhs.0)?, *imm, *target),
-                Insn::MapLookup {
-                    dst,
-                    map,
-                    key,
-                    default,
-                } => Op::MapLookup(ridx(dst.0)?, map.0 as usize, ridx(key.0)?, *default),
-                Insn::MapUpdate { map, key, value } => {
-                    Op::MapUpdate(map.0 as usize, ridx(key.0)?, ridx(value.0)?)
-                }
-                Insn::MapDelete { map, key } => Op::MapDelete(map.0 as usize, ridx(key.0)?),
-                Insn::VectorLdMap { dst, map } => Op::VectorLdMap(vidx(dst.0)?, map.0 as usize),
-                Insn::VectorLdCtxt { dst, base, len } => {
-                    Op::VectorLdCtxt(vidx(dst.0)?, base.0, *len)
-                }
-                Insn::VectorPush { dst, src } => Op::VectorPush(vidx(dst.0)?, ridx(src.0)?),
-                Insn::VectorClear { dst } => Op::VectorClear(vidx(dst.0)?),
-                Insn::MatMul { dst, tensor, src } => {
-                    Op::MatMul(vidx(dst.0)?, tensor.0 as usize, vidx(src.0)?)
-                }
-                Insn::VecMap { op, dst } => Op::VecMap(*op, vidx(dst.0)?),
-                Insn::ScalarVal { dst, src, idx } => {
-                    Op::ScalarVal(ridx(dst.0)?, vidx(src.0)?, *idx as usize)
-                }
-                Insn::CallMl { model, src } => Op::CallMl(model.0 as usize, vidx(src.0)?),
-                Insn::Call { helper } => Op::Call(*helper),
-                Insn::DpAggregate { dst, map } => Op::DpAggregate(ridx(dst.0)?, map.0 as usize),
-                Insn::Exit => Op::Exit,
-                Insn::TailCall { table } => Op::TailCall(table.0),
-            });
+    /// Wraps `action` unchanged (the O0 body). Performs no checks:
+    /// [`CompiledAction::run`] faults on operands the verifier would
+    /// have rejected, exactly as the interpreter does.
+    pub fn compile(action: &Action) -> CompiledAction {
+        CompiledAction {
+            action: action.clone(),
         }
-        Ok(CompiledAction { ops })
     }
 
     /// Runs the optimizing-pass pipeline at `level`, re-verifies the
-    /// rewritten body against `prog`, and compiles the result. Returns
-    /// the compiled action together with its (possibly tighter)
-    /// worst-case dynamic instruction count.
+    /// rewritten body against `prog`, and returns it together with its
+    /// (possibly tighter) worst-case dynamic instruction count.
     ///
     /// Re-verification failure is a hard [`VmError::Verify`]: a pass
     /// that emits an inadmissible body must never reach the machine.
@@ -139,7 +51,7 @@ impl CompiledAction {
     pub fn compile_optimized(
         id: u16,
         action: &Action,
-        prog: &crate::prog::RmtProgram,
+        prog: &RmtProgram,
         level: OptLevel,
         worst_case: u64,
     ) -> Result<(CompiledAction, u64), VmError> {
@@ -148,31 +60,28 @@ impl CompiledAction {
     }
 
     /// [`CompiledAction::compile_optimized`] that also returns the
-    /// pipeline's [`crate::opt::Optimized`] report, so the machine can
-    /// account per-program optimizer statistics and fixpoint-cap hits.
-    /// At `O0` the report is an empty zero-round run.
+    /// pipeline's [`Optimized`] report, so the machine can account
+    /// per-program optimizer statistics and fixpoint-cap hits. At `O0`
+    /// the report is an empty zero-round run.
     pub fn compile_optimized_report(
         id: u16,
         action: &Action,
-        prog: &crate::prog::RmtProgram,
+        prog: &RmtProgram,
         level: OptLevel,
         worst_case: u64,
-    ) -> Result<(CompiledAction, u64, crate::opt::Optimized), VmError> {
+    ) -> Result<(CompiledAction, u64, Optimized), VmError> {
         if level == OptLevel::O0 {
-            let report = crate::opt::Optimized {
+            let report = Optimized {
                 action: action.clone(),
                 rounds: 0,
                 fired: Vec::new(),
                 capped: false,
             };
-            return Ok((CompiledAction::compile(action)?, worst_case, report));
+            return Ok((CompiledAction::compile(action), worst_case, report));
         }
         let opt = crate::opt::optimize(action, level);
-        let wc = crate::verifier::reverify_action(id, &opt.action, prog)?;
-        let compiled = CompiledAction::compile(&opt.action)?;
-        // Optimization never grows the worst case; keep the tighter
-        // bound so fuel accounting benefits too.
-        Ok((compiled, wc.min(worst_case), opt))
+        let (compiled, wc) = Self::reverified(id, &opt, prog, worst_case)?;
+        Ok((compiled, wc, opt))
     }
 
     /// [`CompiledAction::compile_optimized`] with an explicit pass
@@ -180,513 +89,112 @@ impl CompiledAction {
     pub fn compile_optimized_with(
         id: u16,
         action: &Action,
-        prog: &crate::prog::RmtProgram,
+        prog: &RmtProgram,
         passes: &[&dyn Pass],
         worst_case: u64,
     ) -> Result<(CompiledAction, u64), VmError> {
         let opt = crate::opt::optimize_with(action, passes, crate::opt::MAX_FIXPOINT_ROUNDS);
-        let wc = crate::verifier::reverify_action(id, &opt.action, prog)?;
-        let compiled = CompiledAction::compile(&opt.action)?;
-        // Optimization never grows the worst case; keep the tighter
-        // bound so fuel accounting benefits too.
-        Ok((compiled, wc.min(worst_case)))
+        Self::reverified(id, &opt, prog, worst_case)
     }
 
-    /// Number of compiled operations.
-    pub fn len(&self) -> usize {
-        self.ops.len()
+    /// Re-verifies an optimizer result and keeps the tighter of the
+    /// two worst cases (optimization never grows it), so fuel
+    /// accounting benefits too.
+    fn reverified(
+        id: u16,
+        opt: &Optimized,
+        prog: &RmtProgram,
+        worst_case: u64,
+    ) -> Result<(CompiledAction, u64), VmError> {
+        let wc = reverify_action(id, &opt.action, prog)?;
+        Ok((CompiledAction::compile(&opt.action), wc.min(worst_case)))
     }
 
-    /// Returns `true` if the body is empty (never for verified actions).
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Executes the compiled action. Same contract as
-    /// [`crate::interp::run_action`].
+    /// Executes the body through [`crate::interp::run_action`]; same
+    /// contract.
     pub fn run(
         &self,
         fuel: u64,
         arg: i64,
         env: &mut ExecEnv<'_>,
     ) -> Result<ActionOutcome, VmError> {
-        let ops = &self.ops;
-        let mut regs = [0i64; NUM_REGS as usize];
-        regs[crate::bytecode::ARG_REG.0 as usize] = arg;
-        let mut vregs: [Vec<Fix>; NUM_VREGS as usize] = Default::default();
-        let mut out = ActionOutcome::default();
-        let mut pc = 0usize;
-        let mut remaining = fuel;
-        loop {
-            if remaining == 0 {
-                return Err(VmError::FuelExhausted);
-            }
-            remaining -= 1;
-            out.insns_executed += 1;
-            // SAFETY of the unchecked-style access argument: `pc` only
-            // takes values the verifier proved in-range; plain indexing
-            // keeps this memory-safe regardless.
-            let op = &ops[pc];
-            pc += 1;
-            match op {
-                Op::LdImm(d, imm) => regs[*d] = *imm,
-                Op::Mov(d, s) => regs[*d] = regs[*s],
-                Op::LdCtxt(d, f) => {
-                    regs[*d] = env
-                        .ctxt
-                        .get(crate::ctxt::FieldId(*f))
-                        .ok_or(VmError::Fault("bad field"))?;
-                }
-                Op::StCtxt(f, s) => {
-                    if !env.ctxt.set(crate::ctxt::FieldId(*f), regs[*s]) {
-                        return Err(VmError::Fault("bad field store"));
-                    }
-                }
-                Op::Alu(o, d, s) => regs[*d] = o.eval(regs[*d], regs[*s]),
-                Op::AluImm(o, d, imm) => regs[*d] = o.eval(regs[*d], *imm),
-                Op::Jmp(t) => pc = *t,
-                Op::JmpIf(c, l, r, t) => {
-                    if c.eval(regs[*l], regs[*r]) {
-                        pc = *t;
-                    }
-                }
-                Op::JmpIfImm(c, l, imm, t) => {
-                    if c.eval(regs[*l], *imm) {
-                        pc = *t;
-                    }
-                }
-                Op::MapLookup(d, m, k, default) => {
-                    regs[*d] = env.maps[*m].lookup(regs[*k] as u64).unwrap_or(*default);
-                }
-                Op::MapUpdate(m, k, v) => {
-                    regs[0] = match env.maps[*m].update(regs[*k] as u64, regs[*v]) {
-                        Ok(()) => 0,
-                        Err(_) => 1,
-                    };
-                }
-                Op::MapDelete(m, k) => {
-                    regs[0] = env.maps[*m].delete(regs[*k] as u64) as i64;
-                }
-                Op::VectorLdMap(d, m) => {
-                    let snap = env.maps[*m].ring_snapshot();
-                    let v = &mut vregs[*d];
-                    v.clear();
-                    v.extend(snap.iter().take(MAX_VECTOR_LEN).map(|&x| Fix::from_int(x)));
-                }
-                Op::VectorLdCtxt(d, base, len) => {
-                    let v = &mut vregs[*d];
-                    v.clear();
-                    for i in 0..*len {
-                        let val = env
-                            .ctxt
-                            .get(crate::ctxt::FieldId(base + i))
-                            .ok_or(VmError::Fault("vector window"))?;
-                        v.push(Fix::from_int(val));
-                    }
-                }
-                Op::VectorPush(d, s) => {
-                    let val = Fix::from_int(regs[*s]);
-                    let v = &mut vregs[*d];
-                    if v.len() >= MAX_VECTOR_LEN {
-                        return Err(VmError::Fault("vector overflow"));
-                    }
-                    v.push(val);
-                }
-                Op::VectorClear(d) => vregs[*d].clear(),
-                Op::MatMul(d, t, s) => {
-                    let tensor = env.tensors.get(*t).ok_or(VmError::Fault("bad tensor"))?;
-                    let input = &vregs[*s];
-                    if input.is_empty() {
-                        return Err(VmError::Fault("matmul on empty vector"));
-                    }
-                    let vin = Tensor::vector(input.clone());
-                    let result = tensor
-                        .matvec(&vin)
-                        .map_err(|_| VmError::Fault("matmul shape"))?;
-                    vregs[*d] = result.as_slice().to_vec();
-                }
-                Op::VecMap(o, d) => {
-                    for x in vregs[*d].iter_mut() {
-                        *x = match o {
-                            VecUnary::Relu => x.relu(),
-                            VecUnary::Sigmoid => x.sigmoid(),
-                        };
-                    }
-                }
-                Op::ScalarVal(d, s, i) => {
-                    regs[*d] = vregs[*s].get(*i).map(|f| f.round_int() as i64).unwrap_or(0);
-                }
-                Op::CallMl(m, s) => {
-                    let model = env.models.get(*m).ok_or(VmError::Fault("bad model"))?;
-                    let t0 = env.time_ml.then(std::time::Instant::now);
-                    let (mut class, conf) = model
-                        .spec
-                        .predict(&vregs[*s])
-                        .map_err(|_| VmError::Fault("model arity"))?;
-                    if let Some(guard) = &model.guard {
-                        let (guarded, tripped) = guard.apply(class, conf);
-                        class = guarded;
-                        if tripped {
-                            out.guard_trips += 1;
-                        }
-                    }
-                    // Mirrors the interpreter: record the post-guard
-                    // class so both engines produce identical stats.
-                    if let Some(st) = env.ml_stats.get_mut(*m) {
-                        st.record_prediction(
-                            class as i64,
-                            t0.map(|t| t.elapsed().as_nanos() as u64),
-                        );
-                    }
-                    regs[0] = class as i64;
-                    regs[1] = conf.raw() as i64;
-                }
-                Op::Call(helper) => match helper {
-                    Helper::GetTick => regs[0] = env.tick as i64,
-                    Helper::Rand => {
-                        use rkd_testkit::rng::Rng;
-                        regs[0] = env.rng.gen::<i64>();
-                    }
-                    Helper::EmitPrefetch => {
-                        out.effects.push(Effect::Prefetch {
-                            base: regs[2] as u64,
-                            count: regs[3].max(0) as u64,
-                        });
-                        regs[0] = 0;
-                    }
-                    Helper::EmitMigrate => {
-                        out.effects.push(Effect::Migrate {
-                            migrate: regs[2] != 0,
-                        });
-                        regs[0] = 0;
-                    }
-                    Helper::EmitHint => {
-                        out.effects.push(Effect::Hint {
-                            kind: regs[2],
-                            a: regs[3],
-                            b: regs[4],
-                        });
-                        regs[0] = 0;
-                    }
-                },
-                Op::DpAggregate(d, m) => {
-                    let sum = env.maps[*m].aggregate_sum();
-                    let noised = noised_query(
-                        sum,
-                        env.ledger,
-                        env.privacy.per_query_milli_eps,
-                        env.privacy.sensitivity,
-                        env.rng,
-                    )?;
-                    regs[*d] = noised;
-                }
-                Op::Exit => {
-                    out.verdict = regs[0];
-                    return Ok(out);
-                }
-                Op::TailCall(t) => {
-                    out.verdict = regs[0];
-                    out.tail_call = Some(TableId(*t));
-                    return Ok(out);
-                }
-            }
-        }
-    }
-}
-
-fn ridx(r: u8) -> Result<usize, VmError> {
-    if r < NUM_REGS {
-        Ok(r as usize)
-    } else {
-        Err(VmError::Fault("bad register"))
-    }
-}
-
-fn vidx(v: u8) -> Result<usize, VmError> {
-    if v < NUM_VREGS {
-        Ok(v as usize)
-    } else {
-        Err(VmError::Fault("bad vector register"))
+        run_action(&self.action, fuel, arg, env)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::Reg;
+    use crate::bytecode::{Insn, Reg, VReg};
     use crate::ctxt::CtxtSchema;
     use crate::dp::PrivacyLedger;
-    use crate::interp::run_action;
-    use crate::maps::{MapDef, MapInstance, MapKind};
+    use crate::maps::MapId;
     use crate::prog::PrivacyPolicy;
-    use rkd_testkit::rng::SeedableRng;
-    use rkd_testkit::rng::StdRng;
+    use rkd_testkit::rng::{SeedableRng, StdRng};
 
-    struct Fx {
-        ctxt: crate::ctxt::Ctxt,
-        maps: Vec<MapInstance>,
-        tensors: Vec<Tensor>,
-        models: Vec<crate::prog::ModelDef>,
-        rng: StdRng,
-        ledger: PrivacyLedger,
-    }
-
-    impl Fx {
-        fn new(seed: u64) -> Fx {
-            let mut schema = CtxtSchema::new();
-            schema.add_scratch("a");
-            schema.add_scratch("b");
-            let hash = MapInstance::new(&MapDef {
-                name: "h".into(),
-                kind: MapKind::Hash,
-                capacity: 16,
-                shared: false,
-                per_cpu: false,
-            })
-            .unwrap();
-            Fx {
-                ctxt: schema.make_ctxt(),
-                maps: vec![hash],
-                tensors: vec![Tensor::from_f64(2, 2, &[2.0, 0.0, 0.0, 3.0]).unwrap()],
-                models: Vec::new(),
-                rng: StdRng::seed_from_u64(seed),
-                ledger: PrivacyLedger::new(10_000),
-            }
-        }
-
-        fn env(&mut self) -> ExecEnv<'_> {
-            ExecEnv {
-                ctxt: &mut self.ctxt,
-                maps: &mut self.maps,
-                tensors: &self.tensors,
-                models: &self.models,
-                tick: 9,
-                rng: &mut self.rng,
-                ledger: &mut self.ledger,
-                privacy: PrivacyPolicy::default(),
-                ml_stats: &mut [],
-                time_ml: false,
-            }
-        }
-    }
-
-    /// The canonical equivalence harness: run both engines on the same
-    /// action from identical fixtures and compare everything observable.
-    fn assert_equiv(action: &Action, arg: i64) {
-        let mut fx_i = Fx::new(5);
-        let mut fx_j = Fx::new(5);
-        let interp = {
-            let mut env = fx_i.env();
-            run_action(action, 10_000, arg, &mut env)
+    /// Runs `code` unverified against an environment with no maps,
+    /// tensors or models and a one-field ctxt.
+    fn run_unverified(code: Vec<Insn>) -> Result<ActionOutcome, VmError> {
+        let mut schema = CtxtSchema::new();
+        schema.add_scratch("a");
+        let mut ctxt = schema.make_ctxt();
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut ledger = PrivacyLedger::new(10_000);
+        let mut env = ExecEnv {
+            ctxt: &mut ctxt,
+            maps: &mut [],
+            tensors: &[],
+            models: &[],
+            tick: 0,
+            rng: &mut rng,
+            ledger: &mut ledger,
+            privacy: PrivacyPolicy::default(),
+            ml_stats: &mut [],
+            time_ml: false,
         };
-        let compiled = CompiledAction::compile(action).unwrap();
-        let jit = {
-            let mut env = fx_j.env();
-            compiled.run(10_000, arg, &mut env)
-        };
-        assert_eq!(interp, jit);
-        assert_eq!(fx_i.ctxt, fx_j.ctxt);
-        assert_eq!(fx_i.ledger, fx_j.ledger);
+        CompiledAction::compile(&Action::new("untrusted", code)).run(100, 0, &mut env)
     }
 
     #[test]
-    fn equivalence_on_arithmetic() {
-        let a = Action::new(
-            "a",
-            vec![
-                Insn::LdImm {
-                    dst: Reg(0),
-                    imm: 10,
-                },
-                Insn::AluImm {
-                    op: AluOp::Mul,
-                    dst: Reg(0),
-                    imm: -3,
-                },
-                Insn::Exit,
-            ],
-        );
-        assert_equiv(&a, 7);
-    }
-
-    #[test]
-    fn equivalence_on_branches_and_loops() {
-        let a = Action::with_loop_bound(
-            "sum",
-            vec![
-                Insn::LdImm {
-                    dst: Reg(0),
-                    imm: 0,
-                },
-                Insn::LdImm {
-                    dst: Reg(1),
-                    imm: 0,
-                },
-                Insn::Alu {
-                    op: AluOp::Add,
-                    dst: Reg(0),
-                    src: Reg(1),
-                },
-                Insn::AluImm {
-                    op: AluOp::Add,
-                    dst: Reg(1),
-                    imm: 1,
-                },
-                Insn::JmpIfImm {
-                    cmp: CmpOp::Lt,
-                    lhs: Reg(1),
-                    imm: 8,
-                    target: 2,
-                },
-                Insn::Exit,
-            ],
-            16,
-        );
-        assert_equiv(&a, 0);
-    }
-
-    #[test]
-    fn equivalence_on_maps_ctxt_vectors_and_helpers() {
-        let a = Action::new(
-            "mix",
-            vec![
-                Insn::LdImm {
-                    dst: Reg(2),
-                    imm: 3,
-                },
-                Insn::LdImm {
-                    dst: Reg(3),
-                    imm: 50,
-                },
-                Insn::MapUpdate {
-                    map: crate::maps::MapId(0),
-                    key: Reg(2),
-                    value: Reg(3),
-                },
-                Insn::MapLookup {
-                    dst: Reg(4),
-                    map: crate::maps::MapId(0),
-                    key: Reg(2),
-                    default: -1,
-                },
-                Insn::StCtxt {
-                    field: crate::ctxt::FieldId(0),
-                    src: Reg(4),
-                },
-                Insn::VectorPush {
-                    dst: crate::bytecode::VReg(0),
-                    src: Reg(4),
-                },
-                Insn::VectorPush {
-                    dst: crate::bytecode::VReg(0),
-                    src: Reg(2),
-                },
-                Insn::MatMul {
-                    dst: crate::bytecode::VReg(1),
-                    tensor: crate::bytecode::TensorSlot(0),
-                    src: crate::bytecode::VReg(0),
-                },
-                Insn::ScalarVal {
-                    dst: Reg(0),
-                    src: crate::bytecode::VReg(1),
-                    idx: 0,
-                },
-                Insn::Call {
-                    helper: Helper::EmitPrefetch,
-                },
-                Insn::Mov {
-                    dst: Reg(0),
-                    src: Reg(4),
-                },
-                Insn::Exit,
-            ],
-        );
-        assert_equiv(&a, 0);
-    }
-
-    #[test]
-    fn equivalence_on_rand_and_dp_with_same_seed() {
-        let a = Action::new(
-            "rng",
-            vec![
-                Insn::Call {
-                    helper: Helper::Rand,
-                },
-                Insn::DpAggregate {
-                    dst: Reg(1),
-                    map: crate::maps::MapId(0),
-                },
-                Insn::Alu {
-                    op: AluOp::Xor,
-                    dst: Reg(0),
-                    src: Reg(1),
-                },
-                Insn::Exit,
-            ],
-        );
-        assert_equiv(&a, 0);
-    }
-
-    #[test]
-    fn equivalence_on_tail_call() {
-        let a = Action::new(
-            "tc",
-            vec![
-                Insn::LdImm {
-                    dst: Reg(0),
-                    imm: 5,
-                },
-                Insn::TailCall { table: TableId(1) },
-            ],
-        );
-        assert_equiv(&a, 0);
-    }
-
-    #[test]
-    fn compile_rejects_bad_registers() {
-        let a = Action::new(
-            "bad",
+    fn untrusted_operands_fault_instead_of_panicking() {
+        let r = Reg(0);
+        let bad_map = MapId(7);
+        let cases = [
+            vec![Insn::MapLookup {
+                dst: r,
+                map: bad_map,
+                key: r,
+                default: 0,
+            }],
+            vec![Insn::MapUpdate {
+                map: bad_map,
+                key: r,
+                value: r,
+            }],
+            vec![Insn::DpAggregate {
+                dst: r,
+                map: bad_map,
+            }],
             vec![Insn::LdImm {
                 dst: Reg(99),
                 imm: 0,
             }],
-        );
-        assert!(CompiledAction::compile(&a).is_err());
-        let b = Action::new(
-            "badv",
-            vec![Insn::VectorClear {
-                dst: crate::bytecode::VReg(9),
-            }],
-        );
-        assert!(CompiledAction::compile(&b).is_err());
+            vec![Insn::VectorClear { dst: VReg(9) }],
+        ];
+        for code in cases {
+            let what = format!("{code:?}");
+            assert!(
+                matches!(run_unverified(code), Err(VmError::Fault(_))),
+                "{what} must fault"
+            );
+        }
     }
 
     #[test]
     fn fuel_is_enforced() {
-        let a = Action::new("inf", vec![Insn::Jmp { target: 0 }]);
-        let compiled = CompiledAction::compile(&a).unwrap();
-        let mut fx = Fx::new(1);
-        let mut env = fx.env();
         assert!(matches!(
-            compiled.run(50, 0, &mut env),
+            run_unverified(vec![Insn::Jmp { target: 0 }]),
             Err(VmError::FuelExhausted)
         ));
-    }
-
-    #[test]
-    fn len_reports_ops() {
-        let a = Action::new(
-            "l",
-            vec![
-                Insn::LdImm {
-                    dst: Reg(0),
-                    imm: 0,
-                },
-                Insn::Exit,
-            ],
-        );
-        let c = CompiledAction::compile(&a).unwrap();
-        assert_eq!(c.len(), 2);
-        assert!(!c.is_empty());
     }
 }

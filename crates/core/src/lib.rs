@@ -15,8 +15,10 @@
 //!    [`verifier::verify`]), which checks well-formedness, bounded
 //!    execution, model cost budgets, interference guards, and privacy.
 //! 3. Install it ([`ctrl::syscall_rmt`] /
-//!    [`machine::RmtMachine::install`]) in interpreted ([`interp`]) or
-//!    JIT-compiled ([`jit`]) mode.
+//!    [`machine::RmtMachine::install`]): every action is optimized at
+//!    the program's [`opt::OptLevel`] and re-verified ([`jit`], the
+//!    paper's `rmt_jit()`), then runs through the one interpreter loop
+//!    ([`interp`]). No machine code is emitted.
 //! 4. Kernel hooks fire ([`machine::RmtMachine::fire`]); actions match
 //!    context, consult models, and emit effects; the control plane
 //!    retunes entries and hot-swaps models as workloads drift.

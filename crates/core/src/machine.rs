@@ -4,7 +4,8 @@
 //! events through their table pipelines (Figure 1's runtime): a hook
 //! fires with a populated [`Ctxt`]; each table installed at that hook
 //! extracts its match key (`RMT_MATCH_CTXT`), looks up the best entry,
-//! and runs the bound action in interpreted or JIT mode; `TAIL_CALL`s
+//! and runs the bound action's optimized, re-verified body
+//! ([`crate::jit`]) through the interpreter; `TAIL_CALL`s
 //! cascade across tables (bounded); resource effects pass through the
 //! program's token-bucket rate limiter before reaching the kernel.
 //!
@@ -15,7 +16,7 @@
 use crate::ctxt::{Ctxt, FieldId};
 use crate::dp::PrivacyLedger;
 use crate::error::VmError;
-use crate::interp::{run_action, ActionOutcome, Effect, ExecEnv};
+use crate::interp::{ActionOutcome, Effect, ExecEnv};
 use crate::jit::CompiledAction;
 use crate::maps::{MapId, MapInstance, MapState};
 use crate::obs::span::{self, SpanCollector, SpanSnapshot, Stage, StageProfile};
@@ -48,12 +49,18 @@ struct FireSpan {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProgId(pub u32);
 
-/// Execution mode for a program's actions.
+/// Execution mode named by install requests and snapshot records.
+///
+/// Kept so existing callers, journals and snapshots stay valid; neither
+/// variant changes behaviour. Every program runs its actions at its
+/// [`OptLevel`] through the one interpreter loop
+/// ([`crate::interp::run_action`]), and [`OptLevel::O0`] is the
+/// unoptimized reference.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Interpret bytecode (`rmt_interp`).
+    /// Historical name for interpreted execution (`rmt_interp`).
     Interp,
-    /// Run pre-compiled threaded code (`rmt_jit`).
+    /// Historical name for compiled execution (`rmt_jit`).
     Jit,
 }
 
@@ -276,8 +283,8 @@ impl TokenBucket {
     }
 }
 
-/// A fused tail-call chain body installed for one action (JIT mode,
-/// `OptLevel >= O1`): the caller plus its statically resolved callees
+/// A fused tail-call chain body installed for one action
+/// (`OptLevel >= O1`): the caller plus its statically resolved callees
 /// collapsed into one re-verified compiled body.
 ///
 /// Validity is generation-stamped: resolution baked the table
@@ -326,12 +333,12 @@ struct Installed {
     /// firing.
     hook_tables: HashMap<String, Vec<usize>>,
     worst_case: Vec<u64>,
-    mode: ExecMode,
     tables: Vec<Table>,
     maps: Vec<MapInstance>,
+    /// `compiled[i]` = action `i`'s body at the program's opt level.
     compiled: Vec<CompiledAction>,
     /// `fused[i]` = fused chain body for action `i`, when its tail
-    /// call resolved statically (JIT mode only; see [`FusedAction`]).
+    /// call resolved statically (see [`FusedAction`]).
     fused: Vec<Option<FusedAction>>,
     /// Per-program optimizer statistics: pass pipeline totals from the
     /// last full compile plus the current fusion outcome.
@@ -505,8 +512,9 @@ impl RmtMachine {
     }
 
     /// Installs a verified program (`syscall_rmt()` in Figure 1),
-    /// returning its id. JIT mode compiles every action up front
-    /// (`rmt_jit()`).
+    /// returning its id. Every action is compiled up front
+    /// (`rmt_jit()`): optimized at the program's [`OptLevel`] and
+    /// re-verified. `mode` is accepted for compatibility and ignored.
     pub fn install(&mut self, vp: VerifiedProgram, mode: ExecMode) -> Result<ProgId, VmError> {
         self.install_seeded(vp, mode, 0x5EED)
     }
@@ -516,7 +524,7 @@ impl RmtMachine {
     pub fn install_seeded(
         &mut self,
         vp: VerifiedProgram,
-        mode: ExecMode,
+        _mode: ExecMode,
         seed: u64,
     ) -> Result<ProgId, VmError> {
         let (prog, worst_case) = vp.into_parts();
@@ -528,30 +536,7 @@ impl RmtMachine {
         for def in &prog.maps {
             maps.push(MapInstance::new(def)?);
         }
-        let mut opt_stats = OptStats::default();
-        let compiled = match mode {
-            ExecMode::Jit => {
-                // Optimize (per the program's OptLevel knob), re-verify,
-                // then compile. `worst_case` stays the verifier's bound
-                // for the original bodies: it remains a sound fuel cap
-                // for the (never-larger) optimized bodies and keeps O0
-                // and interp fuel accounting identical.
-                let mut out = Vec::with_capacity(prog.actions.len());
-                for (i, action) in prog.actions.iter().enumerate() {
-                    let (c, _wc, report) = CompiledAction::compile_optimized_report(
-                        i as u16,
-                        action,
-                        &prog,
-                        prog.opt_level,
-                        worst_case[i],
-                    )?;
-                    opt_stats.record(action.code.len(), &report);
-                    out.push(c);
-                }
-                out
-            }
-            ExecMode::Interp => Vec::new(),
-        };
+        let (compiled, opt_stats) = Self::compile_actions(&prog, &worst_case, prog.opt_level)?;
         self.obs.counters.opt_fixpoint_cap_hits += opt_stats.fixpoint_cap_hits;
         let mut ctxt_writes: Vec<FieldId> = Vec::new();
         for action in &prog.actions {
@@ -606,7 +591,6 @@ impl RmtMachine {
                 prog,
                 hook_tables,
                 worst_case,
-                mode,
                 tables,
                 maps,
                 compiled,
@@ -640,12 +624,10 @@ impl RmtMachine {
         Ok(ProgId(id))
     }
 
-    /// Changes an installed program's optimization level and, in JIT
-    /// mode, recompiles every action through the optimize → re-verify
-    /// → compile path (a re-verification failure aborts the switch and
-    /// leaves the previous compiled bodies installed). In interpreter
-    /// mode only the knob is recorded: the interpreter always executes
-    /// the verified bytecode.
+    /// Changes an installed program's optimization level and
+    /// recompiles every action through the optimize → re-verify path
+    /// (a re-verification failure aborts the switch and leaves the
+    /// previous level and bodies installed).
     ///
     /// The switch is epoch-published like any other table mutation:
     /// the table generation is bumped, which simultaneously invalidates
@@ -659,28 +641,39 @@ impl RmtMachine {
             .programs
             .get_mut(&id.0)
             .ok_or(VmError::NoSuchProgram(id.0))?;
+        let (compiled, opt_stats) = Self::compile_actions(&inst.prog, &inst.worst_case, level)?;
         inst.prog.opt_level = level;
-        if inst.mode == ExecMode::Jit {
-            let mut out = Vec::with_capacity(inst.prog.actions.len());
-            let mut opt_stats = OptStats::default();
-            for (i, action) in inst.prog.actions.iter().enumerate() {
-                let (c, _wc, report) = CompiledAction::compile_optimized_report(
-                    i as u16,
-                    action,
-                    &inst.prog,
-                    level,
-                    inst.worst_case[i],
-                )?;
-                opt_stats.record(action.code.len(), &report);
-                out.push(c);
-            }
-            inst.compiled = out;
-            inst.opt_stats = opt_stats;
-            self.obs.counters.opt_fixpoint_cap_hits += opt_stats.fixpoint_cap_hits;
-        }
+        inst.compiled = compiled;
+        inst.opt_stats = opt_stats;
+        self.obs.counters.opt_fixpoint_cap_hits += opt_stats.fixpoint_cap_hits;
         self.table_gen += 1;
         self.refresh_fused(Some(id.0), None);
         Ok(())
+    }
+
+    /// Optimizes and re-verifies every action of `prog` at `level`.
+    /// `worst_case` stays the verifier's bound for the original bodies:
+    /// it remains a sound fuel cap for the (never-larger) optimized
+    /// bodies and keeps fuel accounting identical across levels.
+    fn compile_actions(
+        prog: &RmtProgram,
+        worst_case: &[u64],
+        level: OptLevel,
+    ) -> Result<(Vec<CompiledAction>, OptStats), VmError> {
+        let mut opt_stats = OptStats::default();
+        let mut out = Vec::with_capacity(prog.actions.len());
+        for (i, action) in prog.actions.iter().enumerate() {
+            let (c, _wc, report) = CompiledAction::compile_optimized_report(
+                i as u16,
+                action,
+                prog,
+                level,
+                worst_case[i],
+            )?;
+            opt_stats.record(action.code.len(), &report);
+            out.push(c);
+        }
+        Ok((out, opt_stats))
     }
 
     /// Per-program optimizer statistics: pass-pipeline totals from the
@@ -769,12 +762,11 @@ impl RmtMachine {
                 }
                 continue;
             }
-            if !partial || inst.mode != ExecMode::Jit || inst.prog.opt_level == OptLevel::O0 {
+            if !partial || inst.prog.opt_level == OptLevel::O0 {
                 inst.fused = Self::fuse_actions(
                     &inst.prog,
                     &inst.tables,
                     &inst.worst_case,
-                    inst.mode,
                     generation,
                     &mut inst.opt_stats,
                 );
@@ -815,18 +807,16 @@ impl RmtMachine {
         prog: &RmtProgram,
         tables: &[Table],
         worst_case: &[u64],
-        mode: ExecMode,
         generation: u64,
         opt_stats: &mut OptStats,
     ) -> Vec<Option<FusedAction>> {
-        let fused: Vec<Option<FusedAction>> =
-            if mode != ExecMode::Jit || prog.opt_level == OptLevel::O0 {
-                (0..prog.actions.len()).map(|_| None).collect()
-            } else {
-                (0..prog.actions.len())
-                    .map(|i| Self::fuse_one(prog, tables, worst_case, i, generation))
-                    .collect()
-            };
+        let fused: Vec<Option<FusedAction>> = if prog.opt_level == OptLevel::O0 {
+            (0..prog.actions.len()).map(|_| None).collect()
+        } else {
+            (0..prog.actions.len())
+                .map(|i| Self::fuse_one(prog, tables, worst_case, i, generation))
+                .collect()
+        };
         Self::recount_fusion_stats(&fused, opt_stats);
         fused
     }
@@ -853,7 +843,7 @@ impl RmtMachine {
         if wc > fuel_cap {
             return None;
         }
-        let compiled = CompiledAction::compile(&plan.action).ok()?;
+        let compiled = CompiledAction::compile(&plan.action);
         let mut deps = 0u64;
         for st in &plan.steps {
             deps |= Self::dep_bit(st.table as usize);
@@ -1590,27 +1580,23 @@ impl RmtMachine {
             // (unresolved) redirect would otherwise execute links the
             // unfused chain's per-redirect `MAX_TAIL_CHAIN` check
             // refuses.
-            let use_fused = inst.mode == ExecMode::Jit
-                && inst
-                    .fused
-                    .get(action_id.0 as usize)
-                    .and_then(|f| f.as_ref())
-                    .is_some_and(|f| {
-                        f.generation == table_gen && chain + f.steps.len() <= MAX_TAIL_CHAIN
-                    });
-            let fuel = if use_fused {
-                inst.fused[action_id.0 as usize]
-                    .as_ref()
-                    .expect("checked above")
-                    .worst_case
-            } else {
-                inst.worst_case
-                    .get(action_id.0 as usize)
-                    .copied()
-                    .unwrap_or(1)
+            let ai = action_id.0 as usize;
+            let fused =
+                inst.fused.get(ai).and_then(Option::as_ref).filter(|f| {
+                    f.generation == table_gen && chain + f.steps.len() <= MAX_TAIL_CHAIN
+                });
+            let use_fused = fused.is_some();
+            let (body, fuel) = match fused {
+                Some(f) => (&f.compiled, f.worst_case),
+                None => (
+                    &inst.compiled[ai],
+                    inst.worst_case.get(ai).copied().unwrap_or(1),
+                ),
             };
-            let outcome = {
-                let mut env = ExecEnv {
+            let outcome = body.run(
+                fuel,
+                arg,
+                &mut ExecEnv {
                     ctxt,
                     maps: &mut inst.maps,
                     tensors: &inst.prog.tensors,
@@ -1621,22 +1607,8 @@ impl RmtMachine {
                     privacy: inst.prog.privacy,
                     ml_stats: &mut inst.model_stats,
                     time_ml: timed,
-                };
-                match inst.mode {
-                    ExecMode::Interp => run_action(
-                        &inst.prog.actions[action_id.0 as usize],
-                        fuel,
-                        arg,
-                        &mut env,
-                    ),
-                    ExecMode::Jit if use_fused => inst.fused[action_id.0 as usize]
-                        .as_ref()
-                        .expect("checked above")
-                        .compiled
-                        .run(fuel, arg, &mut env),
-                    ExecMode::Jit => inst.compiled[action_id.0 as usize].run(fuel, arg, &mut env),
-                }
-            };
+                },
+            );
             match outcome {
                 Ok(ActionOutcome {
                     verdict,
@@ -2193,14 +2165,6 @@ impl RmtMachine {
         self.programs.keys().map(|&k| ProgId(k)).collect()
     }
 
-    /// Execution mode of a program.
-    pub fn mode(&self, prog: ProgId) -> Result<ExecMode, VmError> {
-        self.programs
-            .get(&prog.0)
-            .map(|i| i.mode)
-            .ok_or(VmError::NoSuchProgram(prog.0))
-    }
-
     /// Current observability configuration.
     pub fn obs_config(&self) -> ObsConfig {
         self.obs.cfg
@@ -2441,8 +2405,9 @@ pub struct ProgramState {
     /// verifier over this — a snapshot is control-plane input, not
     /// trusted state.
     pub prog: RmtProgram,
-    /// Execution mode (JIT bodies are recompiled on restore, never
-    /// serialized).
+    /// Execution mode, kept so older records still parse. Snapshots
+    /// write [`ExecMode::Jit`]; restore ignores it (compiled bodies
+    /// are rebuilt from the re-verified program, never serialized).
     pub mode: ExecMode,
     /// Per-table runtime entries and stats, in table declaration order.
     pub tables: Vec<TableState>,
@@ -2517,7 +2482,7 @@ impl RmtMachine {
             .map(|(&id, inst)| ProgramState {
                 id,
                 prog: inst.prog.clone(),
-                mode: inst.mode,
+                mode: ExecMode::Jit,
                 tables: inst
                     .tables
                     .iter()
@@ -2567,8 +2532,8 @@ impl RmtMachine {
     /// trusted base; a program that no longer verifies rejects the
     /// whole snapshot. Runtime state (table entries, map contents, RNG
     /// position, ledgers, rate-limiter fill, telemetry) is overlaid
-    /// after installation, and in JIT mode actions are recompiled from
-    /// the verified program rather than deserialized.
+    /// after installation, and actions are recompiled from the verified
+    /// program rather than deserialized.
     pub fn restore(snap: MachineSnapshot, vcfg: &VerifierConfig) -> Result<RmtMachine, VmError> {
         let mut m = RmtMachine::new();
         let mut last_id = 0u32;
@@ -2754,7 +2719,6 @@ mod tests {
         for mode in [ExecMode::Interp, ExecMode::Jit] {
             let mut m = RmtMachine::new();
             let id = m.install(doubling_program(), mode).unwrap();
-            assert_eq!(m.mode(id).unwrap(), mode);
             let mut ctxt = ctxt_with_pid(7);
             let r = m.fire("test_hook", &mut ctxt);
             assert_eq!(r.verdict(), Some(42));
@@ -2916,7 +2880,7 @@ mod tests {
     /// `t1`; `t1` (keyed on `k`) holds an entry for key 3 whose action
     /// `a1` tail-calls `t2`; `t2` is empty and defaults to `a2`
     /// (verdict = arg + 40). Every link resolves statically, so at the
-    /// default O2 the whole chain fuses under JIT.
+    /// default O2 the whole chain fuses.
     fn chain_program() -> VerifiedProgram {
         let mut b = ProgramBuilder::new("chain");
         let pid = b.field_readonly("pid");
@@ -2983,76 +2947,83 @@ mod tests {
         Ctxt::from_values(vec![pid, 0])
     }
 
+    /// Installs `chain_program` at O0: the unfused, unoptimized
+    /// reference the fusion tests compare against.
+    fn chain_machine_o0() -> (RmtMachine, ProgId) {
+        let mut m = RmtMachine::new();
+        let id = m.install(chain_program(), ExecMode::Jit).unwrap();
+        m.set_opt_level(id, crate::opt::OptLevel::O0).unwrap();
+        (m, id)
+    }
+
     /// The tentpole's correctness contract: a fused chain produces the
     /// same verdict stream, effects, and per-table bookkeeping as the
     /// unfused chain, and the fusion actually happened (this is not a
     /// vacuous comparison).
     #[test]
     fn fused_chain_matches_unfused_execution() {
-        let mut jit = RmtMachine::new();
-        let jid = jit.install(chain_program(), ExecMode::Jit).unwrap();
-        let os = jit.opt_stats(jid).unwrap();
+        let mut opt = RmtMachine::new();
+        let oid = opt.install(chain_program(), ExecMode::Jit).unwrap();
+        let os = opt.opt_stats(oid).unwrap();
         // `root` fuses both links; `mid` independently fuses its one.
         assert_eq!(os.fused_chains, 2, "{os:?}");
         assert_eq!(os.fused_links, 3, "{os:?}");
-        let mut interp = RmtMachine::new();
-        let iid = interp.install(chain_program(), ExecMode::Interp).unwrap();
+        let (mut o0, id0) = chain_machine_o0();
         for pid in 0..4 {
-            let rj = jit.fire("h", &mut chain_ctxt(pid));
-            let ri = interp.fire("h", &mut chain_ctxt(pid));
-            assert_eq!(rj.verdicts, ri.verdicts);
-            assert_eq!(rj.effects, ri.effects);
+            let ro = opt.fire("h", &mut chain_ctxt(pid));
+            let r0 = o0.fire("h", &mut chain_ctxt(pid));
+            assert_eq!(ro.verdicts, r0.verdicts);
+            assert_eq!(ro.effects, r0.effects);
         }
-        let pinned = jit.fire("h", &mut chain_ctxt(9)).verdicts;
+        let pinned = opt.fire("h", &mut chain_ctxt(9)).verdicts;
         assert_eq!(
             pinned,
             vec![(TableId(0), 10), (TableId(1), 20), (TableId(2), 40)]
         );
-        assert_eq!(interp.fire("h", &mut chain_ctxt(9)).verdicts, pinned);
-        let (sj, si) = (jit.stats(jid).unwrap(), interp.stats(iid).unwrap());
-        assert_eq!(sj.actions_run, si.actions_run);
-        assert_eq!(sj.tail_calls, si.tail_calls);
-        assert_eq!(sj.guard_trips, si.guard_trips);
+        assert_eq!(o0.fire("h", &mut chain_ctxt(9)).verdicts, pinned);
+        let (so, s0) = (opt.stats(oid).unwrap(), o0.stats(id0).unwrap());
+        assert_eq!(so.actions_run, s0.actions_run);
+        assert_eq!(so.tail_calls, s0.tail_calls);
+        assert_eq!(so.guard_trips, s0.guard_trips);
         for t in 0..3 {
             assert_eq!(
-                jit.table_stats(jid, TableId(t)).unwrap(),
-                interp.table_stats(iid, TableId(t)).unwrap(),
+                opt.table_stats(oid, TableId(t)).unwrap(),
+                o0.table_stats(id0, TableId(t)).unwrap(),
                 "table {t} hit/miss bookkeeping must survive fusion"
             );
         }
         // The fused body runs fewer instructions — that is the win.
         assert!(
-            sj.insns_executed < si.insns_executed,
+            so.insns_executed < s0.insns_executed,
             "fused {} !< unfused {}",
-            sj.insns_executed,
-            si.insns_executed
+            so.insns_executed,
+            s0.insns_executed
         );
     }
 
     /// Control-plane churn on a table a fused chain resolved through
     /// must re-specialize the plan (eagerly — the generation check is
     /// only a backstop), and verdicts must track the live entries
-    /// exactly as the unfused interpreter's do.
+    /// exactly as the unfused O0 reference's do.
     #[test]
     fn entry_churn_respecializes_fused_chains() {
-        let mut jit = RmtMachine::new();
-        let jid = jit.install(chain_program(), ExecMode::Jit).unwrap();
-        let mut interp = RmtMachine::new();
-        let iid = interp.install(chain_program(), ExecMode::Interp).unwrap();
+        let mut opt = RmtMachine::new();
+        let oid = opt.install(chain_program(), ExecMode::Jit).unwrap();
+        let (mut o0, id0) = chain_machine_o0();
         let key = MatchKey::Exact(vec![3]);
-        let fire_both = |jit: &mut RmtMachine, interp: &mut RmtMachine| {
-            let rj = jit.fire("h", &mut chain_ctxt(1));
-            let ri = interp.fire("h", &mut chain_ctxt(1));
-            assert_eq!(rj.verdicts, ri.verdicts);
-            rj.verdicts
+        let fire_both = |opt: &mut RmtMachine, o0: &mut RmtMachine| {
+            let ro = opt.fire("h", &mut chain_ctxt(1));
+            let r0 = o0.fire("h", &mut chain_ctxt(1));
+            assert_eq!(ro.verdicts, r0.verdicts);
+            ro.verdicts
         };
-        assert_eq!(fire_both(&mut jit, &mut interp).len(), 3);
+        assert_eq!(fire_both(&mut opt, &mut o0).len(), 3);
         // Remove the mid link's entry: t1 goes empty with no default,
         // so the chain now ends there.
-        assert!(jit.remove_entry(jid, TableId(1), &key).unwrap());
-        assert!(interp.remove_entry(iid, TableId(1), &key).unwrap());
+        assert!(opt.remove_entry(oid, TableId(1), &key).unwrap());
+        assert!(o0.remove_entry(id0, TableId(1), &key).unwrap());
         assert_eq!(
-            fire_both(&mut jit, &mut interp),
+            fire_both(&mut opt, &mut o0),
             vec![(TableId(0), 10)],
             "chain must end at the miss with no default"
         );
@@ -3063,15 +3034,15 @@ mod tests {
             action: ActionId(2),
             arg: 100,
         };
-        jit.insert_entry(jid, TableId(1), e.clone()).unwrap();
-        interp.insert_entry(iid, TableId(1), e).unwrap();
+        opt.insert_entry(oid, TableId(1), e.clone()).unwrap();
+        o0.insert_entry(id0, TableId(1), e).unwrap();
         assert_eq!(
-            fire_both(&mut jit, &mut interp),
+            fire_both(&mut opt, &mut o0),
             vec![(TableId(0), 10), (TableId(1), 140)],
             "re-specialization must bake the new entry (arg 100)"
         );
         // Still fused after all the churn, not silently degraded.
-        assert!(jit.opt_stats(jid).unwrap().fused_chains >= 1);
+        assert!(opt.opt_stats(oid).unwrap().fused_chains >= 1);
     }
 
     /// The sharded `SetOptLevel` bugfix at machine level: switching

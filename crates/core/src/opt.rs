@@ -2,7 +2,7 @@
 //!
 //! §3.1 compiles table matches and actions into RMT bytecode; this
 //! module is the optimizer that sits between the verifier and
-//! [`crate::jit::CompiledAction::compile`]. It is a classic fixpoint
+//! the installed body ([`crate::jit::CompiledAction`]). It is a classic fixpoint
 //! driver over small [`Pass`] structs: each pass rewrites an action
 //! body in place (or removes instructions), the driver re-runs the
 //! whole pipeline until no pass fires, and a hard iteration bound
@@ -93,7 +93,7 @@ pub const MAX_FIXPOINT_ROUNDS: usize = 16;
 /// Optimization level for action compilation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum OptLevel {
-    /// No optimization: the JIT compiles exactly what the verifier
+    /// No optimization: the machine runs exactly what the verifier
     /// admitted. Retained as the oracle path for differential testing.
     O0,
     /// Generic passes: constant folding, dead-code elimination, branch

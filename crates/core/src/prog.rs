@@ -148,9 +148,9 @@ pub struct RmtProgram {
     pub rate_limit: Option<RateLimitCfg>,
     /// Privacy policy (meaningful when any map is shared).
     pub privacy: PrivacyPolicy,
-    /// Optimization level for JIT compilation of this program's
-    /// actions (ignored in interpreter mode). Defaults to
-    /// [`OptLevel::O2`]; [`OptLevel::O0`] is the oracle path that
+    /// Optimization level for install-time compilation of this
+    /// program's actions — the machine's only execution knob. Defaults
+    /// to [`OptLevel::O2`]; [`OptLevel::O0`] is the oracle path that
     /// executes exactly the verified bytecode.
     pub opt_level: OptLevel,
 }
@@ -339,7 +339,7 @@ impl ProgramBuilder {
         self
     }
 
-    /// Sets the JIT optimization level (defaults to [`OptLevel::O2`];
+    /// Sets the optimization level (defaults to [`OptLevel::O2`];
     /// [`OptLevel::O0`] compiles the verified bytecode unchanged).
     pub fn opt_level(&mut self, level: OptLevel) -> &mut Self {
         self.prog.opt_level = level;

@@ -213,8 +213,8 @@ pub struct TableStats {
 }
 
 /// Interior-mutable counters backing [`TableStats`]: lookups take
-/// `&self`, so shared-read callers (the JIT's pre-resolved dispatch,
-/// the decision-cache replay path) count without exclusive access.
+/// `&self`, so shared-read callers (the decision-cache replay path)
+/// count without exclusive access.
 #[derive(Clone, Debug, Default)]
 struct StatCells {
     hits: Cell<u64>,
@@ -467,8 +467,7 @@ impl Table {
     }
 
     /// Shared-read lookup; counts stats like [`Table::lookup`] now
-    /// that the counters are interior-mutable (used by the JIT's
-    /// pre-resolved dispatch and by tests).
+    /// that the counters are interior-mutable (used by tests).
     pub fn peek(&self, key: &[u64]) -> Option<&Entry> {
         self.lookup(key)
     }

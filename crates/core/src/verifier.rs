@@ -133,8 +133,8 @@ pub fn verify_with(
 /// Re-verifies a single (possibly rewritten) action body against the
 /// program it belongs to, returning its worst-case dynamic instruction
 /// count. This is the verify-after-optimize gate: the optimizer's
-/// output must re-pass the CFG and dataflow passes before the JIT will
-/// accept it, so a buggy pass is a hard compile-time error rather than
+/// output must re-pass the CFG and dataflow passes before the machine
+/// will install it, so a buggy pass is a hard compile-time error rather than
 /// an installed miscompilation.
 ///
 /// Structural, model, tail-call, interference, and privacy checks are

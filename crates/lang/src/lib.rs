@@ -5,7 +5,10 @@
 //! bytecode, and installed via a system call." This crate is that
 //! compiler: [`compile`] turns DSL source into an
 //! [`rkd_core::prog::RmtProgram`] plus symbol tables, ready for
-//! [`rkd_core::verifier::verify`] and installation.
+//! [`rkd_core::verifier::verify`] and installation. Installing
+//! optimizes and re-verifies every action at the program's
+//! [`rkd_core::opt::OptLevel`] (default O2) and runs it through the
+//! core's one interpreter loop.
 //!
 //! The language mirrors the paper's Figure 1 listing: `table`
 //! declarations bind hook points and match fields, `action` bodies are

@@ -61,8 +61,6 @@ pub struct MlPrefetchConfig {
     pub window: usize,
     /// Tree hyperparameters.
     pub tree: TreeConfig,
-    /// Execution mode for the installed program.
-    pub mode: ExecMode,
 }
 
 impl Default for MlPrefetchConfig {
@@ -77,7 +75,6 @@ impl Default for MlPrefetchConfig {
                 min_samples_split: 4,
                 max_thresholds: 32,
             },
-            mode: ExecMode::Jit,
         }
     }
 }
@@ -338,7 +335,7 @@ impl MlPrefetcher {
         let verified = verify(prog).expect("generated prefetch program must verify");
         let mut machine = RmtMachine::new();
         let prog_id = machine
-            .install(verified, cfg.mode)
+            .install(verified, ExecMode::Jit)
             .expect("install verified program");
         MlPrefetcher {
             machine,
@@ -747,19 +744,5 @@ mod tests {
         // And the flight recorder saw the run (default interval 1024
         // fires; two hooks fire per access).
         assert!(!p.flight_snapshot().frames.is_empty());
-    }
-
-    #[test]
-    fn interp_and_jit_modes_both_work() {
-        for mode in [ExecMode::Interp, ExecMode::Jit] {
-            let mut p = MlPrefetcher::new(MlPrefetchConfig {
-                mode,
-                ..MlPrefetchConfig::default()
-            });
-            for i in 0..600u64 {
-                let _ = p.on_access(i * 5);
-            }
-            assert!(p.retrains() >= 1);
-        }
     }
 }

@@ -46,8 +46,6 @@ pub struct CaseStudyConfig {
     pub max_train_samples: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Execution mode for the installed policy programs.
-    pub mode: ExecMode,
 }
 
 impl Default for CaseStudyConfig {
@@ -65,7 +63,6 @@ impl Default for CaseStudyConfig {
             lean_k: 2,
             max_train_samples: 6_000,
             seed: 42,
-            mode: ExecMode::Jit,
         }
     }
 }
@@ -113,7 +110,7 @@ pub fn run_case_study(
     // Phase 2: full-featured model.
     let full_ds = dataset_from_log(&log, &(0..N_FEATURES).collect::<Vec<_>>(), cfg, &mut rng)?;
     let full_model = train_quantized(&full_ds, cfg, &mut rng)?;
-    let full_policy = MlPolicy::new(full_model, (0..N_FEATURES).collect(), cfg.mode);
+    let full_policy = MlPolicy::new(full_model, (0..N_FEATURES).collect(), ExecMode::Jit);
     let mut full_shadow = ShadowPolicy::new(full_policy, CfsPolicy::default());
     let full = run(workload, &mut full_shadow, &cfg.sim);
     // Phase 3: feature ranking -> lean model. An interpretable tree
@@ -146,7 +143,7 @@ pub fn run_case_study(
     let keep = select_top_k(&ranked, cfg.lean_k.min(N_FEATURES));
     let lean_ds = dataset_from_log(&log, &keep, cfg, &mut rng)?;
     let lean_model = train_quantized(&lean_ds, cfg, &mut rng)?;
-    let lean_policy = MlPolicy::new(lean_model, keep.clone(), cfg.mode);
+    let lean_policy = MlPolicy::new(lean_model, keep.clone(), ExecMode::Jit);
     let mut lean_shadow = ShadowPolicy::new(lean_policy, CfsPolicy::default());
     let lean = run(workload, &mut lean_shadow, &cfg.sim);
     // Datapath self-observation: what the embedded machines measured

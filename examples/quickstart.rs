@@ -63,7 +63,7 @@ fn main() {
         verified.worst_case_insns()
     );
 
-    // 3. Install in JIT mode.
+    // 3. Install: actions are optimized and re-verified (`rmt_jit()`).
     let mut vm = RmtMachine::new();
     let prog = vm.install(verified, ExecMode::Jit).expect("install");
 

@@ -17,6 +17,9 @@ cargo build --release --offline
 echo "==> cargo test -q --offline (workspace)"
 cargo test -q --offline --workspace
 
+echo "==> rkdbench quick self-test (benchmark builds against the current API, oracles pass)"
+cargo test --release --offline --manifest-path rkdbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

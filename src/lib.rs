@@ -6,7 +6,7 @@
 //! workspace:
 //!
 //! - [`core`] — the in-kernel RMT virtual machine: match/action
-//!   tables, bytecode, verifier, interpreter/JIT, control plane,
+//!   tables, bytecode, verifier, optimizer, interpreter, control plane,
 //!   differential privacy.
 //! - [`ml`] — integer-only in-kernel ML: fixed point, decision trees,
 //!   quantized MLPs, SVMs, online learning, distillation, feature

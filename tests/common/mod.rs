@@ -1,16 +1,17 @@
 //! Shared harness for the VM differential tests: a PRNG-driven
-//! generator of safe-subset bytecode and the three-way equivalence
-//! checker (interpreter vs unoptimized JIT vs optimized JIT) that
-//! `vm_equivalence` and `differential_smoke` drive.
+//! generator of safe-subset bytecode and the two-way equivalence
+//! checker (the O0 interpreter over the verified bytecode vs the
+//! optimized, re-verified body) that `vm_equivalence` and
+//! `differential_smoke` drive.
 
 #![allow(dead_code)] // Each test target uses a different subset.
 
 use rkd::core::bytecode::{Action, AluOp, CmpOp, Insn, Reg, VReg};
 use rkd::core::ctxt::Ctxt;
 use rkd::core::dp::PrivacyLedger;
-use rkd::core::interp::{run_action, ExecEnv};
+use rkd::core::interp::{ActionOutcome, ExecEnv};
 use rkd::core::jit::CompiledAction;
-use rkd::core::maps::{MapDef, MapId, MapInstance, MapKind};
+use rkd::core::maps::{MapDef, MapId, MapInstance, MapKind, MapState};
 use rkd::core::opt::OptLevel;
 use rkd::core::prog::{PrivacyPolicy, ProgramBuilder};
 use rkd::core::table::MatchKind;
@@ -159,14 +160,9 @@ impl Fx {
     }
 }
 
-/// Runs `action` on one engine against a fresh fixture and returns the
-/// outcome plus the fixture's final state.
-fn run_engine(
-    action: &rkd::core::bytecode::Action,
-    compiled: Option<&CompiledAction>,
-    fuel: u64,
-    arg: i64,
-) -> (rkd::core::interp::ActionOutcome, Fx) {
+/// Runs `body` against a fresh fixture and returns the outcome plus
+/// the fixture's final state.
+fn run_body(body: &CompiledAction, fuel: u64, arg: i64) -> (ActionOutcome, Fx) {
     let mut fx = Fx::new();
     let outcome = {
         let tensors = Vec::new();
@@ -183,10 +179,7 @@ fn run_engine(
             ml_stats: &mut [],
             time_ml: false,
         };
-        match compiled {
-            Some(c) => c.run(fuel, arg, &mut env),
-            None => run_action(action, fuel, arg, &mut env),
-        }
+        body.run(fuel, arg, &mut env)
     };
     (
         outcome.expect("admitted program terminates within bound"),
@@ -195,16 +188,16 @@ fn run_engine(
 }
 
 /// Generates an action, routes it through the real verifier, and (for
-/// admitted programs) asserts the three-way oracle: interpretation,
-/// unoptimized (O0) JIT, and optimized JIT execution agree bit-for-bit
-/// on outcome, context, and map state.
-pub fn check_interp_jit_equivalence(raw: Vec<Insn>, arg: i64) {
-    run_interp_jit_equivalence(raw, arg);
+/// admitted programs) asserts the two-way oracle: the O0 interpreter
+/// over the verified bytecode and the optimized, re-verified body agree
+/// on outcome, context, and full map state.
+pub fn check_o0_opt_equivalence(raw: Vec<Insn>, arg: i64) {
+    run_o0_opt_equivalence(raw, arg);
 }
 
-/// Like [`check_interp_jit_equivalence`], but reports whether the
-/// verifier admitted the program (so callers can track coverage).
-pub fn run_interp_jit_equivalence(raw: Vec<Insn>, arg: i64) -> bool {
+/// Like [`check_o0_opt_equivalence`], but reports whether the verifier
+/// admitted the program (so callers can track coverage).
+pub fn run_o0_opt_equivalence(raw: Vec<Insn>, arg: i64) -> bool {
     let action = make_action(raw);
     // Route through the real verifier via a minimal program.
     let mut b = ProgramBuilder::new("prop");
@@ -222,46 +215,34 @@ pub fn run_interp_jit_equivalence(raw: Vec<Insn>, arg: i64) -> bool {
     };
     let fuel = verified.worst_case_insns()[0];
 
-    // Engine 1: the interpreter (reference semantics).
-    let (interp, mut fx_i) = run_engine(&action, None, fuel, arg);
+    // The reference: the verified bytecode, interpreted unoptimized.
+    let (o0, fx_0) = run_body(&CompiledAction::compile(&action), fuel, arg);
     // Soundness: an admitted program must not exhaust its verified
     // fuel.
-    assert!(interp.insns_executed <= fuel);
+    assert!(o0.insns_executed <= fuel);
 
-    // Engine 2: the unoptimized (O0 oracle path) JIT — bit-for-bit
-    // identical, including the dynamic instruction count.
-    let unopt = CompiledAction::compile(&action).unwrap();
-    let (jit, mut fx_j) = run_engine(&action, Some(&unopt), fuel, arg);
-    assert_eq!(interp, jit);
-    assert_eq!(fx_i.ctxt, fx_j.ctxt);
-    for (a, b) in fx_i.maps.iter_mut().zip(fx_j.maps.iter_mut()) {
-        assert_eq!(a.aggregate_sum(), b.aggregate_sum());
-        assert_eq!(a.len(), b.len());
-    }
-
-    // Engine 3: the optimized JIT. compile_optimized re-verifies the
-    // rewritten body (meta-safety: a pass emitting an inadmissible
-    // body is a hard compile error, which this corpus would surface).
+    // The optimized body. compile_optimized re-verifies the rewritten
+    // body (meta-safety: a pass emitting an inadmissible body is a
+    // hard compile error, which this corpus would surface).
     let (optimized, _wc) =
         CompiledAction::compile_optimized(0, &action, verified.prog(), OptLevel::O2, fuel)
             .expect("optimizer output must re-pass the verifier");
-    let (opt, mut fx_o) = run_engine(&action, Some(&optimized), fuel, arg);
+    let (opt, fx_o) = run_body(&optimized, fuel, arg);
     // Same observable outcome; the optimized body may execute fewer
     // dynamic instructions, never more.
-    assert_eq!(interp.verdict, opt.verdict);
-    assert_eq!(interp.effects, opt.effects);
-    assert_eq!(interp.tail_call, opt.tail_call);
-    assert_eq!(interp.guard_trips, opt.guard_trips);
+    assert_eq!(o0.verdict, opt.verdict);
+    assert_eq!(o0.effects, opt.effects);
+    assert_eq!(o0.tail_call, opt.tail_call);
+    assert_eq!(o0.guard_trips, opt.guard_trips);
     assert!(
-        opt.insns_executed <= interp.insns_executed,
+        opt.insns_executed <= o0.insns_executed,
         "optimization increased executed instructions ({} -> {})",
-        interp.insns_executed,
+        o0.insns_executed,
         opt.insns_executed
     );
-    assert_eq!(fx_i.ctxt, fx_o.ctxt);
-    for (a, b) in fx_i.maps.iter_mut().zip(fx_o.maps.iter_mut()) {
-        assert_eq!(a.aggregate_sum(), b.aggregate_sum());
-        assert_eq!(a.len(), b.len());
-    }
+    assert_eq!(fx_0.ctxt, fx_o.ctxt);
+    let state =
+        |fx: &Fx| -> Vec<MapState> { fx.maps.iter().map(MapInstance::export_state).collect() };
+    assert_eq!(state(&fx_0), state(&fx_o));
     true
 }

@@ -1,11 +1,12 @@
 //! Differential test for tail-call chain fusion under control-plane
-//! churn: seeded random match chains replayed through an interpreter
-//! machine and a JIT machine at the default opt level (O2, fusion on),
-//! with `InsertEntry` / `RemoveEntry` mutations applied mid-replay to
-//! both — exactly the pattern that invalidates baked fused chains.
+//! churn: seeded random match chains replayed through an O0 machine
+//! (no optimization, no fusion) and a machine at the default opt level
+//! (O2, fusion on), with `InsertEntry` / `RemoveEntry` mutations
+//! applied mid-replay to both — exactly the pattern that invalidates
+//! baked fused chains.
 //!
 //! Every fire must produce identical verdict sequences and effects on
-//! both engines, and the cumulative per-program and per-table counters
+//! both machines, and the cumulative per-program and per-table counters
 //! must agree at the end of each replay. Fused execution synthesizes
 //! the bookkeeping (intermediate verdicts, tail-call counts, hit/miss
 //! counts) that the collapsed chain no longer performs; this suite is
@@ -16,6 +17,7 @@
 use rkd::core::bytecode::{Action, AluOp, Insn, Reg};
 use rkd::core::ctxt::Ctxt;
 use rkd::core::machine::{ExecMode, RmtMachine};
+use rkd::core::opt::OptLevel;
 use rkd::core::prog::ProgramBuilder;
 use rkd::core::table::{ActionId, Entry, MatchKey, MatchKind, TableId};
 use rkd::core::verifier::verify;
@@ -119,8 +121,8 @@ fn gen_chain(rng: &mut StdRng) -> ChainProg {
 fn churn(
     rng: &mut StdRng,
     cp: &ChainProg,
-    interp: (&mut RmtMachine, rkd::core::machine::ProgId),
-    jit: (&mut RmtMachine, rkd::core::machine::ProgId),
+    o0: (&mut RmtMachine, rkd::core::machine::ProgId),
+    opt: (&mut RmtMachine, rkd::core::machine::ProgId),
 ) {
     let ti = TableId(rng.gen_range(1..=cp.stages as u16));
     // Aim at the key the chain actually resolves through when there is
@@ -137,12 +139,12 @@ fn churn(
             action: ActionId(rng.gen_range(1..=(cp.stages + 1) as u16 - 1)),
             arg: rng.gen_range(-50i64..50),
         };
-        let a = interp.0.insert_entry(interp.1, ti, entry.clone());
-        let b = jit.0.insert_entry(jit.1, ti, entry);
+        let a = o0.0.insert_entry(o0.1, ti, entry.clone());
+        let b = opt.0.insert_entry(opt.1, ti, entry);
         assert_eq!(a.is_ok(), b.is_ok(), "insert_entry outcomes diverge");
     } else {
-        let a = interp.0.remove_entry(interp.1, ti, &key);
-        let b = jit.0.remove_entry(jit.1, ti, &key);
+        let a = o0.0.remove_entry(o0.1, ti, &key);
+        let b = opt.0.remove_entry(opt.1, ti, &key);
         assert_eq!(a.unwrap(), b.unwrap(), "remove_entry outcomes diverge");
     }
 }
@@ -153,51 +155,52 @@ fn fused_chains_stay_exact_under_mid_replay_entry_churn() {
     for s in 0..SEEDS {
         let mut rng = StdRng::seed_from_u64(BASE_SEED.wrapping_add(s));
         let cp = gen_chain(&mut rng);
-        let mut interp = RmtMachine::new();
-        let mut jit = RmtMachine::new();
-        let pi = interp
-            .install(cp.prog.clone(), ExecMode::Interp)
-            .expect("install interp");
-        let pj = jit
+        let mut o0 = RmtMachine::new();
+        let mut opt = RmtMachine::new();
+        let p0 = o0
             .install(cp.prog.clone(), ExecMode::Jit)
-            .expect("install jit");
+            .expect("install o0");
+        o0.set_opt_level(p0, OptLevel::O0).expect("drop to O0");
+        let po = opt
+            .install(cp.prog.clone(), ExecMode::Jit)
+            .expect("install opt");
         for f in 0..FIRES_PER_SEED {
             if f > 0 && rng.gen_bool(0.3) {
-                churn(&mut rng, &cp, (&mut interp, pi), (&mut jit, pj));
+                churn(&mut rng, &cp, (&mut o0, p0), (&mut opt, po));
             }
             let pid_val = rng.gen_range(0i64..4);
-            let mut ci = Ctxt::from_values(vec![pid_val, 0]);
-            let mut cj = Ctxt::from_values(vec![pid_val, 0]);
-            let ri = interp.fire("h", &mut ci);
-            let rj = jit.fire("h", &mut cj);
+            let mut c0 = Ctxt::from_values(vec![pid_val, 0]);
+            let mut co = Ctxt::from_values(vec![pid_val, 0]);
+            let r0 = o0.fire("h", &mut c0);
+            let ro = opt.fire("h", &mut co);
             assert_eq!(
-                ri.verdicts, rj.verdicts,
+                r0.verdicts, ro.verdicts,
                 "seed {s} fire {f}: verdict streams diverge"
             );
             assert_eq!(
-                ri.effects, rj.effects,
+                r0.effects, ro.effects,
                 "seed {s} fire {f}: effect streams diverge"
             );
-            assert_eq!(ci, cj, "seed {s} fire {f}: contexts diverge");
+            assert_eq!(c0, co, "seed {s} fire {f}: contexts diverge");
         }
-        let si = interp.stats(pi).unwrap();
-        let sj = jit.stats(pj).unwrap();
-        assert_eq!(si.invocations, sj.invocations, "seed {s}: invocations");
-        assert_eq!(si.actions_run, sj.actions_run, "seed {s}: actions_run");
-        assert_eq!(si.tail_calls, sj.tail_calls, "seed {s}: tail_calls");
-        assert_eq!(si.guard_trips, sj.guard_trips, "seed {s}: guard_trips");
+        let s0 = o0.stats(p0).unwrap();
+        let so = opt.stats(po).unwrap();
+        assert_eq!(s0.invocations, so.invocations, "seed {s}: invocations");
+        assert_eq!(s0.actions_run, so.actions_run, "seed {s}: actions_run");
+        assert_eq!(s0.tail_calls, so.tail_calls, "seed {s}: tail_calls");
+        assert_eq!(s0.guard_trips, so.guard_trips, "seed {s}: guard_trips");
         assert_eq!(
-            si.actions_aborted, sj.actions_aborted,
+            s0.actions_aborted, so.actions_aborted,
             "seed {s}: actions_aborted"
         );
         for t in 0..=cp.stages as u16 {
             assert_eq!(
-                interp.table_stats(pi, TableId(t)).unwrap(),
-                jit.table_stats(pj, TableId(t)).unwrap(),
+                o0.table_stats(p0, TableId(t)).unwrap(),
+                opt.table_stats(po, TableId(t)).unwrap(),
                 "seed {s}: table {t} hit/miss counters diverge"
             );
         }
-        fused_seen += jit.opt_stats(pj).unwrap().fused_chains;
+        fused_seen += opt.opt_stats(po).unwrap().fused_chains;
     }
     // Coverage guard: the generator must actually produce fused chains
     // (post-churn plans counted once per seed), or this suite silently

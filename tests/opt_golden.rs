@@ -750,7 +750,7 @@ fn full_pipeline_golden() {
 }
 
 /// The verify-after-optimize invariant, pinned end to end through the
-/// JIT compile path: a deliberately broken pass whose output drops the
+/// install-time compile path: a deliberately broken pass whose output drops the
 /// terminator must surface as a hard `VmError::Verify` from
 /// `compile_optimized_with`, exactly what `install` would propagate.
 #[test]

@@ -22,22 +22,26 @@
 //!   control journal converges every shard to the pre-crash
 //!   configuration (shard-0 semantics: per-shard datapath state
 //!   reaccumulates rather than being persisted).
+//! - **Mode compatibility**: journal and snapshot records naming
+//!   either `ExecMode` spelling restore and replay, and the two
+//!   spellings behave identically at the same `OptLevel`.
 
 use std::collections::BTreeMap;
 use std::io::Write;
 
-use rkd::core::bytecode::{Action, AluOp, Insn, Reg, VReg};
+use rkd::core::bytecode::{Action, AluOp, Helper, Insn, Reg, VReg};
 use rkd::core::ctrl::{syscall_rmt_with, CtrlRequest, CtrlResponse};
 use rkd::core::ctxt::Ctxt;
 use rkd::core::error::VmError;
 use rkd::core::guard::ModelGuard;
 use rkd::core::journal::{read_journal, JournalError, JournaledMachine, JOURNAL_FILE};
-use rkd::core::machine::{ExecMode, ProgId, RmtMachine};
-use rkd::core::maps::{MapId, MapKind};
+use rkd::core::machine::{ExecMode, HookResult, MachineSnapshot, ProgId, ProgStats, RmtMachine};
+use rkd::core::maps::{MapId, MapKind, MapState};
 use rkd::core::obs::ObsConfig;
+use rkd::core::opt::OptLevel;
 use rkd::core::prog::{ModelSpec, ProgramBuilder, RmtProgram};
 use rkd::core::shard::ShardedMachine;
-use rkd::core::snapshot::to_json_string;
+use rkd::core::snapshot::{from_json_str, to_json_string};
 use rkd::core::table::{ActionId, Entry, MatchKey, MatchKind, TableId};
 use rkd::core::verifier::{verify, VerifierConfig};
 use rkd::ml::cost::LatencyClass;
@@ -670,4 +674,161 @@ fn sharded_journal_recovery_converges_to_precrash_config() {
     let contents = read_journal(&jpath).unwrap();
     assert_eq!(contents.records.len(), 4);
     assert_eq!(contents.records.last().unwrap().seq, 4);
+}
+
+/// A per-flow accumulator at `level` that also writes a scratch ctxt
+/// field and emits a hint effect, with constant arithmetic the
+/// optimizer folds at O2.
+fn compat_prog(level: OptLevel) -> (RmtProgram, MapId) {
+    let mut b = ProgramBuilder::new("compat");
+    b.opt_level(level);
+    let flow = b.field_readonly("flow");
+    let x = b.field_readonly("x");
+    let out = b.field_scratch("out");
+    let counts = b.map("counts", MapKind::Hash, 64);
+    let act = b.action(Action::new(
+        "acc",
+        vec![
+            Insn::LdCtxt {
+                dst: Reg(1),
+                field: flow,
+            },
+            Insn::LdCtxt {
+                dst: Reg(2),
+                field: x,
+            },
+            Insn::MapLookup {
+                dst: Reg(3),
+                map: counts,
+                key: Reg(1),
+                default: 0,
+            },
+            Insn::Alu {
+                op: AluOp::Add,
+                dst: Reg(3),
+                src: Reg(2),
+            },
+            Insn::MapUpdate {
+                map: counts,
+                key: Reg(1),
+                value: Reg(3),
+            },
+            Insn::LdImm {
+                dst: Reg(4),
+                imm: 6,
+            },
+            Insn::AluImm {
+                op: AluOp::Mul,
+                dst: Reg(4),
+                imm: 7,
+            },
+            Insn::Alu {
+                op: AluOp::Add,
+                dst: Reg(4),
+                src: Reg(3),
+            },
+            Insn::StCtxt {
+                field: out,
+                src: Reg(4),
+            },
+            Insn::LdImm {
+                dst: Reg(2),
+                imm: 9,
+            },
+            Insn::Call {
+                helper: Helper::EmitHint,
+            },
+            Insn::Mov {
+                dst: Reg(0),
+                src: Reg(3),
+            },
+            Insn::Exit,
+        ],
+    ));
+    b.table("t", "pkt", &[flow], MatchKind::Exact, Some(act), 16);
+    (b.build(), counts)
+}
+
+/// Everything observable from one [`compat_run`]: each fire's result
+/// and final ctxt, then the program's map state and `ProgStats`.
+type CompatObs = (Vec<(HookResult, Ctxt)>, Vec<MapState>, ProgStats);
+
+/// Installs `compat_prog(level)` under `mode` through a journal,
+/// crashes, replays the journal, fires, then restores from a snapshot
+/// record naming `mode` and fires again.
+fn compat_run(mode: ExecMode, level: OptLevel) -> CompatObs {
+    let name = format!("\"{mode:?}\"");
+    let dir = TempDir::new("recovery-compat");
+    let (prog, counts) = compat_prog(level);
+    let mut jm = JournaledMachine::create(
+        dir.path(),
+        RmtMachine::with_obs_config(det_obs()),
+        VerifierConfig::default(),
+    )
+    .unwrap();
+    let pid = match jm
+        .ctrl(CtrlRequest::Install {
+            prog: Box::new(prog),
+            mode,
+            seed: BASE_SEED,
+        })
+        .unwrap()
+    {
+        CtrlResponse::Installed(id) => id,
+        other => panic!("unexpected response {other:?}"),
+    };
+    jm.ctrl(CtrlRequest::MapUpdate {
+        prog: pid,
+        map: counts,
+        key: 3,
+        value: 100,
+    })
+    .unwrap();
+    drop(jm);
+    let journal = std::fs::read_to_string(dir.path().join(JOURNAL_FILE)).unwrap();
+    assert!(journal.contains(&name), "journal must name {name}");
+
+    let mut seen = Vec::new();
+    let mut fire = |m: &mut RmtMachine| {
+        for i in 0..16i64 {
+            let mut ctxt = Ctxt::from_values(vec![i % 4, i, 0]);
+            let r = m.fire("pkt", &mut ctxt);
+            seen.push((r, ctxt));
+            m.advance_tick(1);
+        }
+    };
+    let mut jm = JournaledMachine::open(dir.path(), VerifierConfig::default()).unwrap();
+    fire(jm.machine_mut());
+
+    let json = to_json_string(&jm.machine().snapshot());
+    let json = json.replace("\"mode\":\"Jit\"", &format!("\"mode\":{name}"));
+    assert!(json.contains(&format!("\"mode\":{name}")));
+    let snap: MachineSnapshot = from_json_str(&json).unwrap();
+    let mut m = RmtMachine::restore(snap, &VerifierConfig::default()).unwrap();
+    fire(&mut m);
+    let maps = m.snapshot().programs[0].maps.clone();
+    let stats = m.stats(pid).unwrap();
+    (seen, maps, stats)
+}
+
+/// `ExecMode` no longer picks an engine, but older journal and
+/// snapshot records name it as `"Interp"` or `"Jit"`. Both spellings
+/// must restore and replay, and a program installed under either at
+/// the same `OptLevel` must give identical verdicts, effects, ctxt,
+/// map state and `ProgStats`.
+#[test]
+fn interp_and_jit_records_restore_replay_and_agree() {
+    for level in [OptLevel::O0, OptLevel::O2] {
+        let interp = compat_run(ExecMode::Interp, level);
+        let jit = compat_run(ExecMode::Jit, level);
+        assert!(
+            interp.0.iter().all(|(r, _)| r.effects.len() == 1),
+            "{level:?}: every fire emits its hint"
+        );
+        assert_eq!(
+            interp.2.actions_run, 32,
+            "{level:?}: 16 replayed + 16 restored fires"
+        );
+        assert_eq!(interp, jit, "{level:?}: Interp and Jit records diverge");
+    }
 }
